@@ -9,6 +9,7 @@ is the strongest end-to-end check that the generated code is real, valid C.
 from __future__ import annotations
 
 import ctypes
+import functools
 import os
 import shutil
 import subprocess
@@ -18,7 +19,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..cir.nodes import Buffer, Function
+from ..cir.nodes import Function
 from ..errors import BackendError
 
 
@@ -43,6 +44,20 @@ def find_c_compiler() -> Optional[str]:
 
 def compiler_available() -> bool:
     return find_c_compiler() is not None
+
+
+@functools.lru_cache(maxsize=None)
+def compiler_identity(path: str) -> str:
+    """The first line of ``<path> --version`` (empty when it prints
+    nothing or fails), memoized per compiler path for the process so a
+    compiled-object cache hit forks nothing after the first lookup."""
+    try:
+        output = subprocess.check_output([path, "--version"], text=True,
+                                         stderr=subprocess.DEVNULL,
+                                         timeout=30)
+    except (OSError, subprocess.SubprocessError):
+        return ""
+    return output.splitlines()[0].strip() if output else ""
 
 
 @dataclass
@@ -131,7 +146,8 @@ def compile_kernel(c_code: str, function: Function,
 
     When ``cache_key`` is given (the kernel service's content hash), the
     shared object is kept under ``cache_dir`` and reused by later calls with
-    the same key and flags, skipping the compiler entirely.
+    the same key, flags and compiler (path and ``--version``), skipping the
+    compiler entirely.
 
     Raises :class:`~repro.errors.BackendError` when no compiler is available
     or compilation fails (the compiler diagnostics are included).
@@ -142,12 +158,17 @@ def compile_kernel(c_code: str, function: Function,
     if extra_flags:
         flags.extend(extra_flags)
 
+    compiler = find_c_compiler()
     cached_path: Optional[str] = None
     if cache_key is not None:
         import hashlib
+        # The compiler is part of the key: an object built by another
+        # compiler (or another version of it) is never served.
+        toolchain = ([compiler, compiler_identity(compiler)]
+                     if compiler is not None else [])
         digest = hashlib.sha256(
-            "\x00".join([cache_key, function.name] + flags).encode()
-        ).hexdigest()[:32]
+            "\x00".join([cache_key, function.name] + flags + toolchain
+                         ).encode()).hexdigest()[:32]
         cache_root = cache_dir or default_object_cache_dir()
         cached_path = os.path.join(cache_root, f"{digest}.so")
         if os.path.exists(cached_path):
@@ -163,7 +184,6 @@ def compile_kernel(c_code: str, function: Function,
                 except OSError:
                     pass
 
-    compiler = find_c_compiler()
     if compiler is None:
         raise BackendError("no C compiler available on this system")
 

@@ -52,10 +52,6 @@ class CegisOutcome:
     tol: float = DEFAULT_TOL
     ref_tol: float = DEFAULT_REF_TOL
 
-    @property
-    def options_applied(self) -> tuple:
-        return tuple(self.accepted)
-
     def to_record(self) -> FixRecord:
         return FixRecord(
             key=self.key, program_name=self.program_name, label=self.label,

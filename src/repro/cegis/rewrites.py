@@ -75,11 +75,6 @@ def _clone(program: Program) -> Program:
     return copy.deepcopy(program)
 
 
-def _canonical(program: Program) -> str:
-    from ..service.keys import canonical_program
-    return canonical_program(program)
-
-
 def _views_clash(a: View, b: View, leaders: Dict[str, str]) -> bool:
     """Do two views touch the same storage (``ow`` chains resolved)?"""
     la = leaders.get(a.operand.name, a.operand.name)

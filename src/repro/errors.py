@@ -52,10 +52,6 @@ class DimensionError(ReproError):
     """Raised when operand dimensions are incompatible in an expression."""
 
 
-class StructureError(ReproError):
-    """Raised when matrix structure annotations are inconsistent."""
-
-
 class SynthesisError(ReproError):
     """Raised when Cl1ck-style algorithm synthesis fails for an HLAC."""
 
@@ -78,10 +74,6 @@ class InterpreterError(ReproError):
 
 class BackendError(ReproError):
     """Raised by the C backends (unparsing or compilation failures)."""
-
-
-class MachineModelError(ReproError):
-    """Raised by the machine/performance model."""
 
 
 class AutotuningError(ReproError):

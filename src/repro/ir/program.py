@@ -113,16 +113,6 @@ class Equation(Statement):
                 unique.append(op)
         return unique
 
-    def knowns(self) -> List[Operand]:
-        """Input operands appearing in the equation."""
-        ops = [op for op in self.lhs.operands() + self.rhs.operands()
-               if not op.is_output]
-        unique: List[Operand] = []
-        for op in ops:
-            if op not in unique:
-                unique.append(op)
-        return unique
-
     def reads(self) -> List[View]:
         return [v for v in self.lhs.views() + self.rhs.views()
                 if not v.operand.is_output]

@@ -111,6 +111,9 @@ class WorkerPool:
         try:
             self._sock.bind((host, port))
             self._sock.listen(backlog)
+            # All workers wake per connection; the losers' accept() must
+            # fail fast, not block the loop that checks for shutdown.
+            self._sock.setblocking(False)
         except OSError as exc:
             self._sock.close()
             raise ServiceError(f"cannot listen on {host}:{port}: {exc}")

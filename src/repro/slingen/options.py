@@ -139,8 +139,3 @@ class Options:
         if self.block_size is not None:
             return self.block_size
         return max(self.effective_vector_width, 2)
-
-    def scalar_copy(self) -> "Options":
-        """A copy of these options with vectorization disabled."""
-        from dataclasses import replace
-        return replace(self, vectorize=False)

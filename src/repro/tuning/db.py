@@ -29,10 +29,10 @@ request's base options under three rules:
    second-guess them (and generation stays a pure function of the
    effective options, which is what the kernel cache keys on).
 
-The on-disk layout mirrors the kernel store: one JSON document per record
-under ``<root>/<key[:2]>/<key>.json``, written atomically, read
-corruption-tolerantly (an undecodable record is quarantined and reported
-as a miss, so tuning degrades to re-tuning, never to an exception).
+Storage is :class:`JsonRecordDB`, a view of the generic
+:class:`~repro.ioutil.RecordStore` (one JSON document per record under
+``<root>/<key[:2]>/<key>.json``); an undecodable record is a miss, so
+tuning degrades to re-tuning, never to an exception.
 """
 
 from __future__ import annotations
@@ -43,10 +43,10 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Union
+from typing import Callable, Dict, List, Optional, TypeVar, Union
 
 from ..errors import TuningDBError
-from ..ioutil import LruMap, atomic_write_bytes, cache_root
+from ..ioutil import RecordStore, cache_root
 from ..ir.program import Program
 from ..machine.microarch import MicroArchitecture
 from ..service.keys import canonical_program, machine_fingerprint
@@ -182,129 +182,62 @@ class TuningRecord:
         return cls(**kwargs)
 
 
-class TuningDB:
-    """Persistent key -> :class:`TuningRecord` store (see module docs)."""
+_R = TypeVar("_R")
+
+
+class JsonRecordDB(RecordStore[_R]):
+    """A :class:`~repro.ioutil.RecordStore` of JSON records at
+    ``<root>/<key[:2]>/<key>.json``, shared by :class:`TuningDB` and
+    :class:`~repro.cegis.fixbank.FixBank`.  ``hot_capacity`` bounds the
+    in-memory record cache, so a service consulting the database on
+    every request does not pay a disk read and JSON parse per hit."""
+
+    #: Set by each database: ``stats()["backend"]``, the record class
+    #: (``to_json``/``from_json``, ``key``, ``created_at``), the error
+    #: raised when the root cannot be created, and the default root.
+    backend: str
+    record_type: type
+    root_error: type
+    default_root: Callable[[], str]
 
     def __init__(self, root: Optional[str] = None, hot_capacity: int = 128):
-        """``hot_capacity`` bounds the in-memory record cache: a service
-        consulting the database on every request (including cache hits)
-        must not pay a disk read + JSON parse per hit.  Only positive
-        lookups are cached -- a miss always re-probes the filesystem, so
-        records tuned by another process are picked up."""
-        self.root = os.path.abspath(root or default_tuning_dir())
+        super().__init__(
+            os.path.abspath(root or self.default_root()), ".json",
+            lambda record: json.dumps(record.to_json(), indent=2,
+                                      sort_keys=True).encode("utf-8"),
+            lambda blob: self.record_type.from_json(json.loads(blob)),
+            hot_capacity=hot_capacity)
         try:
-            os.makedirs(self.root, exist_ok=True)
+            self.ensure_root()
         except OSError as exc:
-            raise TuningDBError(
-                f"cannot create tuning database root {self.root!r}: {exc}")
-        self._hot: LruMap[TuningRecord] = LruMap(hot_capacity)
-        self.hits = 0
-        self.misses = 0
-        self.hot_hits = 0
-        self.corrupt_dropped = 0
+            raise self.root_error(
+                f"cannot create {self.backend} root {self.root!r}: {exc}")
 
-    # -- paths ---------------------------------------------------------------
-
-    def _record_path(self, key: str) -> str:
-        return os.path.join(self.root, key[:2], f"{key}.json")
-
-    # -- store API -----------------------------------------------------------
-
-    def get(self, key: str) -> Optional[TuningRecord]:
-        """The stored record, or None (missing or quarantined-corrupt)."""
-        hot = self._hot.get(key)
-        if hot is not None:
-            self.hits += 1
-            self.hot_hits += 1
-            return hot
-        path = self._record_path(key)
-        if not os.path.exists(path):
-            self.misses += 1
-            return None
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                record = TuningRecord.from_json(json.load(handle))
-        except Exception:
-            # Torn write, schema drift, hand-edited garbage: drop the
-            # record and let the caller re-tune.
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-            self.corrupt_dropped += 1
-            self.misses += 1
-            return None
-        self._hot.insert(key, record)
-        self.hits += 1
-        return record
-
-    def put(self, key: str, record: TuningRecord) -> None:
+    def put(self, key: str, record) -> None:
         record.key = key
         if not record.created_at:
             record.created_at = time.time()
-        path = self._record_path(key)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        atomic_write_bytes(path, json.dumps(
-            record.to_json(), indent=2, sort_keys=True).encode("utf-8"))
-        self._hot.insert(key, record)
+        super().put(key, record)
 
-    def delete(self, key: str) -> bool:
-        self._hot.pop(key)
-        path = self._record_path(key)
-        try:
-            os.unlink(path)
-            return True
-        except OSError:
-            return False
-
-    def keys(self) -> List[str]:
-        found: List[str] = []
-        if not os.path.isdir(self.root):
-            return found
-        for shard in sorted(os.listdir(self.root)):
-            shard_dir = os.path.join(self.root, shard)
-            if not os.path.isdir(shard_dir):
-                continue
-            for name in sorted(os.listdir(shard_dir)):
-                if name.endswith(".json"):
-                    found.append(name[:-len(".json")])
-        return found
-
-    def records(self) -> Iterator[TuningRecord]:
-        """Every decodable record (corrupt ones are quarantined as usual)."""
-        for key in self.keys():
-            record = self.get(key)
-            if record is not None:
-                yield record
-
-    def purge(self) -> int:
-        self._hot.clear()
-        removed = 0
-        for key in self.keys():
-            if self.delete(key):
-                removed += 1
-        return removed
-
-    def best_options(self, key: str, base: Options) -> Optional[Options]:
-        """The tuned options for ``key`` applied over ``base``, or None."""
+    def applied_options(self, key: str, base: Options) -> Optional[Options]:
+        """The record for ``key`` applied over ``base``, or None."""
         record = self.get(key)
-        if record is None:
-            return None
-        return record.apply(base)
+        return None if record is None else record.apply(base)
 
     def stats(self) -> Dict[str, object]:
-        return {
-            "backend": "tuning-db",
-            "root": self.root,
-            "entries": len(self.keys()),
-            "hits": self.hits,
-            "hot_hits": self.hot_hits,
-            "misses": self.misses,
-            "corrupt_dropped": self.corrupt_dropped,
-        }
+        counters = super().stats()
+        return {"backend": self.backend, "root": self.root,
+                "entries": len(self),
+                **{name: counters[name] for name in
+                   ("hits", "hot_hits", "misses", "corrupt_dropped")}}
 
-    def __contains__(self, key: str) -> bool:
-        return os.path.exists(self._record_path(key))
 
-    def __len__(self) -> int:
-        return len(self.keys())
+class TuningDB(JsonRecordDB[TuningRecord]):
+    """Persistent key -> :class:`TuningRecord` store (see module docs)."""
+
+    backend = "tuning-db"
+    record_type = TuningRecord
+    root_error = TuningDBError
+    default_root = staticmethod(default_tuning_dir)
+    #: The tuned options for ``key`` applied over ``base``, or None.
+    best_options = JsonRecordDB.applied_options

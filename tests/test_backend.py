@@ -1,5 +1,7 @@
 """Tests for the C backends (unparser + compile-and-run)."""
 
+import subprocess
+
 import numpy as np
 import pytest
 
@@ -123,3 +125,48 @@ class TestObjectCache:
         third = compile_kernel(code, func, cache_key="x" * 64,
                                cache_dir=str(tmp_path))
         assert third.library_path != first.library_path
+
+    def test_compiler_change_misses_the_object_cache(self, tmp_path,
+                                                     monkeypatch):
+        from repro.backend.compile import compiler_identity, find_c_compiler
+        real = find_c_compiler()
+        func = _simple_scalar_function()
+        code = unparse_function(func)
+        cache_dir = str(tmp_path / "objects")
+
+        def shim(name: str, version: str) -> str:
+            path = tmp_path / name
+            path.write_text(
+                "#!/bin/sh\n"
+                f'if [ "$1" = --version ]; then echo "{version}"; exit 0; fi\n'
+                f'exec "{real}" "$@"\n')
+            path.chmod(0o755)
+            return str(path)
+
+        paths = []
+        for name, version in (("cc-a", "shim-cc 1.0"),
+                              ("cc-b", "shim-cc 2.0")):
+            monkeypatch.setenv("CC", shim(name, version))
+            paths.append(compile_kernel(code, func, cache_key="k" * 64,
+                                        cache_dir=cache_dir).library_path)
+        assert paths[0] != paths[1]
+
+        # A new version behind the same path (as seen by a new process)
+        # misses too.
+        shim("cc-b", "shim-cc 2.1")
+        compiler_identity.cache_clear()
+        upgraded = compile_kernel(code, func, cache_key="k" * 64,
+                                  cache_dir=cache_dir).library_path
+        assert upgraded not in paths
+
+        # Once the identity is memoized, a cache hit forks nothing.
+        def no_fork(*args, **kwargs):
+            raise AssertionError("a cache hit must not start a process")
+
+        monkeypatch.setattr(subprocess, "run", no_fork)
+        monkeypatch.setattr(subprocess, "check_output", no_fork)
+        again = compile_kernel(code, func, cache_key="k" * 64,
+                               cache_dir=cache_dir)
+        assert again.library_path == upgraded
+        result = again.run({"a": np.array([[1.0, 2.0, 3.0, 4.0]])})
+        np.testing.assert_allclose(result["out"], [[2.0, 4.0, 6.0, 8.0]])

@@ -183,7 +183,7 @@ class TestFixBank:
         bank = FixBank(root=str(tmp_path))
         key = "ef" * 32
         bank.put(key, _record(key))
-        path = bank._record_path(key)
+        path = bank.path(key)
         bank = FixBank(root=str(tmp_path))          # cold hot-cache
         with open(path, "w", encoding="utf-8") as handle:
             handle.write("{ not json")
@@ -197,7 +197,7 @@ class TestFixBank:
         bank.put(key, _record(key))
         doc = _record(key).to_json()
         doc["schema"] = FIXBANK_SCHEMA_VERSION + 1
-        with open(bank._record_path(key), "w", encoding="utf-8") as handle:
+        with open(bank.path(key), "w", encoding="utf-8") as handle:
             json.dump(doc, handle)
         assert FixBank(root=str(tmp_path)).get(key) is None
 

@@ -378,7 +378,17 @@ class TestCli:
         from repro.perf.__main__ import main
         return main(list(argv))
 
-    def test_full_cycle(self, tmp_path, capsys):
+    def test_full_cycle(self, tmp_path, capsys, monkeypatch):
+        # Fixed timing samples: the test checks the gate's logic, not how
+        # steady the host's interpreter timings happen to be.
+        import repro.timing
+
+        def fixed_samples(invoke, restore, repeats, warmup, inner):
+            restore()
+            invoke()
+            return [1e-4] * repeats
+
+        monkeypatch.setattr(repro.timing, "batched_time", fixed_samples)
         manifest = tmp_path / "m.json"
         manifest.write_text(json.dumps([
             {"kernel": "potrf:4", "backend": "interpreter", "repeats": 2}]))

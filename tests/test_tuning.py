@@ -312,7 +312,7 @@ class TestTuningDB:
         # A fresh instance (new process) finds the on-disk corruption; the
         # writer's own hot layer is allowed to keep serving its copy.
         db = TuningDB(root=str(tmp_path))
-        path = db._record_path(record.key)
+        path = db.path(record.key)
         with open(path, "w", encoding="utf-8") as handle:
             handle.write("{not json")
         assert db.get(record.key) is None
@@ -326,7 +326,7 @@ class TestTuningDB:
         record = _record()
         TuningDB(root=str(tmp_path)).put(record.key, record)
         db = TuningDB(root=str(tmp_path))
-        path = db._record_path(record.key)
+        path = db.path(record.key)
         doc = json.load(open(path))
         doc["schema"] = TUNING_SCHEMA_VERSION + 1
         json.dump(doc, open(path, "w"))
